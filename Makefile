@@ -31,6 +31,10 @@
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.
+#   make tickbench-test — the tick benchmark's own tests (tickbench is a
+#                  separate module, so `go test ./...` at the root skips
+#                  them); its replay-fidelity self-test replays
+#                  ctrl.MPC.Step bit for bit.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
 #                  Runs with -short: the dense C50×N20 control bench (a
@@ -41,7 +45,7 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR9.json
 BENCH_REF ?= BENCH_PR8.json
 
-.PHONY: check vet lint build test race leaktest bench bench-smoke
+.PHONY: check vet lint build test race leaktest tickbench-test bench bench-smoke
 
 check: vet lint build test race
 
@@ -62,6 +66,9 @@ race:
 
 leaktest:
 	$(GO) test -race -run Leak ./internal/... -count=1
+
+tickbench-test:
+	cd tickbench && $(GO) test ./...
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -check-series $(BENCH_REF) -check-perf $(BENCH_REF)

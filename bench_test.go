@@ -8,6 +8,7 @@
 package repro_test
 
 import (
+	"math"
 	"testing"
 
 	"repro"
@@ -145,9 +146,11 @@ func BenchmarkAblationSmoothing(b *testing.B) { benchExperiment(b, "ablation-smo
 // BenchmarkAblationHorizon sweeps the MPC horizons.
 func BenchmarkAblationHorizon(b *testing.B) { benchExperiment(b, "ablation-horizon") }
 
-// BenchmarkMPCStep measures one fast-loop MPC solve at the paper's scale
-// (N=3, C=5, β1=8, β2=3 → 45 decision variables).
-func BenchmarkMPCStep(b *testing.B) {
+// mpcStepRig is the paper-scale MPC step setup shared by BenchmarkMPCStep
+// and BenchmarkMPCStepMovingDemand: the folded 7H model, the 6H optimal
+// allocation as U(k−1), and the 7H optimum's power as the reference.
+func mpcStepRig(b *testing.B) (*ctrl.MPC, ctrl.StepInput) {
+	b.Helper()
 	top := idc.PaperTopology()
 	model, err := ctrl.NewFoldedModel(top, []float64{49.90, 29.47, 77.97}, 30)
 	if err != nil {
@@ -191,11 +194,41 @@ func BenchmarkMPCStep(b *testing.B) {
 		Demands:  repro.TableIDemands(),
 		RefPower: target.PowerWatts,
 	}
+	return mpc, in
+}
+
+// BenchmarkMPCStep measures one fast-loop MPC solve at the paper's scale
+// (N=3, C=5, β1=8, β2=3 → 45 decision variables). Demand and U(k−1) are
+// frozen, so every step after the first warm-starts from the shifted plan.
+func BenchmarkMPCStep(b *testing.B) {
+	mpc, in := mpcStepRig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mpc.Step(in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMPCStepMovingDemand is BenchmarkMPCStep in closed loop with
+// portal demand moving every step (Table I × (0.9 + 0.05·sin)), the tick the
+// fast loop actually runs: each step's conservation right-hand side is new,
+// so the shifted plan is infeasible and the warm-start ladder repairs one.
+func BenchmarkMPCStepMovingDemand(b *testing.B) {
+	mpc, in := mpcStepRig(b)
+	table := repro.TableIDemands()
+	in.Demands = make([]float64, len(table))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := 0.9 + 0.05*math.Sin(float64(i)/7)
+		for p, d := range table {
+			in.Demands[p] = f * d
+		}
+		out, err := mpc.Step(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in.PrevU = out.U
 	}
 }
 

@@ -142,8 +142,8 @@ type instruments struct {
 // wall-time histogram is wrapped in a 1-in-sampleEvery decimator (§3.9).
 func newInstruments(reg *obs.Registry, sampleEvery int) instruments {
 	return instruments{
-		steps:      reg.Counter("idc_steps_total", "fast-loop control steps executed"),
-		slowTicks:  reg.Counter("idc_slow_ticks_total", "slow-loop ticks (price/model/reference refreshes)"),
+		steps:     reg.Counter("idc_steps_total", "fast-loop control steps executed"),
+		slowTicks: reg.Counter("idc_slow_ticks_total", "slow-loop ticks (price/model/reference refreshes)"),
 		fastLoop: obs.Sampled(
 			reg.Histogram("idc_fast_loop_seconds", "wall time of one fast-loop Step (sampled)", obs.LatencyBuckets()),
 			sampleEvery),
@@ -181,6 +181,7 @@ func mpcInstruments(reg *obs.Registry) ctrl.Instruments {
 			Iterations:     reg.Counter("idc_qp_iterations_total", "active-set iterations across fast-loop QP solves"),
 			Factorizations: reg.Counter("idc_qp_factorizations_total", "Cholesky factorizations of the QP Hessian"),
 			FactorReuse:    reg.Counter("idc_qp_factor_reuse_total", "QP solves that reused the cached Hessian factorization"),
+			Phase1:         reg.Counter("idc_qp_phase1_solves_total", "QP solves that ran the LP phase-1 because no warm start was feasible"),
 		},
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/obs"
+	"repro/internal/price"
 	"repro/internal/workload"
 )
 
@@ -331,5 +333,71 @@ func TestNewWithoutOptionsUnchanged(t *testing.T) {
 				t.Fatalf("step %d: power diverged at idc %d", k, j)
 			}
 		}
+	}
+}
+
+// TestMovingDemandDayNeverReachesPhase1 pins the fast-loop warm-start
+// contract end to end: over a simulated paper-scale day with portal demand
+// moving every tick, embedded hourly prices, forecasting and the §V.C
+// budgets, no QP solve falls back to qp's LP phase-1
+// (idc_qp_phase1_solves_total stays 0). An overloaded tick still reaches
+// phase-1 and fails as before: core.Step rejects Σ L > Σ capacity before
+// the MPC runs, so the overloaded tick is driven through the controller's
+// own MPC, which reports ctrl.ErrInfeasible and bumps the counter once.
+func TestMovingDemandDayNeverReachesPhase1(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := baseConfig()
+	cfg.Prices = price.NewEmbeddedModel()
+	cfg.Budgets = []float64{5.13e6, 10.26e6, 4.275e6}
+	cfg.UseForecast = true
+	c, err := New(cfg, WithMetrics(reg))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const steps = 24 * 3600 / 30
+	table := workload.TableI()
+	demands := make([]float64, len(table))
+	for k := 0; k < steps; k++ {
+		for i, d := range table {
+			demands[i] = d * (0.6 + 0.3*math.Sin(2*math.Pi*float64(k)/steps+float64(i)))
+		}
+		if _, err := c.Step(demands); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+	}
+	phase1 := func() uint64 {
+		v, ok := reg.Snapshot().Counter("idc_qp_phase1_solves_total")
+		if !ok {
+			t.Fatal("idc_qp_phase1_solves_total not registered")
+		}
+		return v
+	}
+	if v := phase1(); v != 0 {
+		t.Fatalf("moving-demand day ran qp phase-1 %d times, want 0", v)
+	}
+
+	var capacity float64
+	for _, lam := range cfg.Topology.Capacities() {
+		capacity += lam
+	}
+	for i := range demands {
+		demands[i] = 1.1 * capacity / float64(len(demands))
+	}
+	if _, err := c.Step(demands); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("overloaded core.Step = %v, want ErrInfeasible", err)
+	}
+	_, err = c.mpc.Step(ctrl.StepInput{
+		Model:    c.model,
+		State:    c.state,
+		PrevU:    c.u,
+		Servers:  c.servers,
+		Demands:  demands,
+		RefPower: c.refPower,
+	})
+	if !errors.Is(err, ctrl.ErrInfeasible) {
+		t.Fatalf("overloaded MPC tick = %v, want ctrl.ErrInfeasible", err)
+	}
+	if v := phase1(); v != 1 {
+		t.Errorf("phase-1 solves after the overloaded tick = %d, want 1", v)
 	}
 }

@@ -115,3 +115,31 @@ func TestMPCStepInstrumentedAllocFree(t *testing.T) {
 		t.Error("QP factor-reuse counter never fired")
 	}
 }
+
+// TestMPCStepMovingDemandAllocs pins the allocation ceiling of the tick the
+// fast loop actually runs: portal demand moves every step (Table I scaled
+// by 0.9 + 0.05·sin), so every step needs a fresh feasible start. The
+// warm-start ladder builds it on grow-only scratch instead of calling qp's
+// LP phase-1, which allocated a fresh split-and-slack tableau every step.
+func TestMPCStepMovingDemandAllocs(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	mpc, in, setDemand := movingDemandRig(t)
+	k := 0
+	step := func() {
+		setDemand(k)
+		k++
+		out, err := mpc.Step(in)
+		if err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		in.PrevU = out.U
+	}
+	for k < 50 {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs > 1 {
+		t.Errorf("moving-demand MPC.Step allocated %v allocs/run, want ≤ 1", allocs)
+	}
+}

@@ -8,6 +8,8 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/idc"
 	"repro/internal/mat"
+	"repro/internal/obs"
+	"repro/internal/qp"
 	"repro/internal/workload"
 )
 
@@ -474,6 +476,8 @@ func TestMPCInfeasibleDemand(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMPC: %v", err)
 	}
+	phase1 := obs.NewRegistry().Counter("qp_phase1_solves_total", "")
+	mpc.SetInstruments(Instruments{QP: qp.Instruments{Phase1: phase1}})
 	_, err = mpc.Step(StepInput{
 		Model:    model,
 		State:    make([]float64, model.StateDim()),
@@ -484,6 +488,11 @@ func TestMPCInfeasibleDemand(t *testing.T) {
 	})
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("Step = %v, want ErrInfeasible", err)
+	}
+	// Σ L > Σ φ: no rung of the warm-start ladder is feasible, so the
+	// infeasibility is established by qp's phase-1, exactly once.
+	if v := phase1.Value(); v != 1 {
+		t.Errorf("phase-1 solves = %d, want 1", v)
 	}
 }
 

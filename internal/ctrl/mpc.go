@@ -74,11 +74,11 @@ func (c *MPCConfig) defaults() error {
 type MPC struct {
 	cfg MPCConfig
 	// prevZ caches the previous solve's move plan for warm-starting: the
-	// plan shifted one step left is usually feasible for the next problem
-	// and close to its optimum, cutting active-set iterations during
-	// transitions. It is only meaningful for the model (and hence reference
-	// regime) it was planned under, so Step discards it whenever the model
-	// identity changes.
+	// plan shifted one step left is feasible for the next problem whenever
+	// demands and caps are unchanged, and close to its optimum (the first
+	// rung of warmStart's ladder). It is only meaningful for the model (and
+	// hence reference regime) it was planned under, so Step discards it
+	// whenever the model identity changes.
 	prevZ []float64
 	// cache holds the condensed matrices for the current model; lastModel/
 	// lastVersion track the model identity the controller state (cache and
@@ -135,7 +135,9 @@ type stepScratch struct {
 	hPrev, psiPrev   []float64
 	beq, bin         []float64
 	zero, shifted    []float64
-	feasBuf          []float64
+	repaired         []float64
+	rowSum, colLoad  []float64
+	displaced        []float64
 	deltaU, u, thz   []float64
 	predBuf          []float64
 	preds            [][]float64
@@ -257,7 +259,7 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	top := model.Topology()
 	ns := model.StateDim()
 	nu := model.InputDim()
-	b1, b2 := m.cfg.PredHorizon, m.cfg.CtrlHorizon
+	b1 := m.cfg.PredHorizon
 
 	cd, err := m.condensedFor(model)
 	if err != nil {
@@ -351,8 +353,10 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 		Aeq: cd.aeq, Beq: beq,
 		Ain: cd.ain, Bin: bin,
 		AeqSparse: cd.aeqS, AinSparse: cd.ainS,
-		X0: m.warmStart(nu, b2, cd, beq, bin),
 	}
+	// warmStart judges its candidate starts against sc.ls, so it runs once
+	// the problem above is complete.
+	sc.ls.X0 = m.warmStart(top, in, cd)
 	res, err := qp.SolveLSWith(&sc.ls, cd.form, cd.ws)
 	if err != nil {
 		if errors.Is(err, qp.ErrInfeasible) {
@@ -402,80 +406,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 		QPIterations:    res.Iterations,
 	}
 	return &sc.out, nil
-}
-
-// warmStart returns the best available feasible starting point: the
-// previous plan shifted one step (exact when demands and caps are
-// unchanged), else the zero move. qp.Solve re-checks feasibility and runs
-// its LP phase only if the returned point is infeasible too.
-func (m *MPC) warmStart(nu, b2 int, cd *condensed, beq, bin []float64) []float64 {
-	sc := &m.sc
-	sc.zero = mat.GrowVec(sc.zero, nu*b2)
-	zero := sc.zero
-	for i := range zero { // reused buffer: clear stale contents
-		zero[i] = 0
-	}
-	if len(m.prevZ) != nu*b2 {
-		return zero
-	}
-	sc.shifted = mat.GrowVec(sc.shifted, nu*b2)
-	shifted := sc.shifted
-	for i := range shifted {
-		shifted[i] = 0
-	}
-	copy(shifted, m.prevZ[nu:])
-	if m.pointFeasible(shifted, cd, beq, bin) {
-		return shifted
-	}
-	return zero
-}
-
-// pointFeasible checks Aeq·z = beq and Ain·z ≤ bin within tolerance,
-// through the compressed constraint rows when the condensed cache carries
-// them (the products are bit-identical to the dense ones; only the dropped
-// exact-zero terms differ).
-func (m *MPC) pointFeasible(z []float64, cd *condensed, beq, bin []float64) bool {
-	const tol = 1e-7
-	sc := &m.sc
-	if cd.aeq != nil {
-		sc.feasBuf = mat.GrowVec(sc.feasBuf, cd.aeq.Rows())
-		v := sc.feasBuf
-		if err := constraintMulVec(v, cd.aeq, cd.aeqS, z); err != nil {
-			return false
-		}
-		// The row tolerance is loop-invariant: hoisting the norm out of the
-		// row loop computes the exact same scale once instead of O(rows)
-		// times, so every accept/reject decision is unchanged.
-		scale := 1 + mat.NormInfVec(beq)
-		for i := range beq {
-			if diff := v[i] - beq[i]; diff > tol*scale || diff < -tol*scale {
-				return false
-			}
-		}
-	}
-	if cd.ain != nil {
-		sc.feasBuf = mat.GrowVec(sc.feasBuf, cd.ain.Rows())
-		v := sc.feasBuf
-		if err := constraintMulVec(v, cd.ain, cd.ainS, z); err != nil {
-			return false
-		}
-		// Same hoist as the equality rows: one norm, identical decisions.
-		binTol := tol * (1 + mat.NormInfVec(bin))
-		for i := range bin {
-			if v[i] > bin[i]+binTol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// constraintMulVec computes dst = A·z through the sparse view when present.
-func constraintMulVec(dst []float64, dense *mat.Dense, sparse *mat.SparseRows, z []float64) error {
-	if sparse != nil {
-		return sparse.MulVecInto(dst, z)
-	}
-	return mat.MulVecInto(dst, dense, z)
 }
 
 func (m *MPC) validate(in StepInput) error {

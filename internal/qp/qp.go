@@ -69,8 +69,8 @@ type Problem struct {
 	// the H⁻¹aᵢ solves read full rows).
 	AeqSparse *mat.SparseRows
 	AinSparse *mat.SparseRows
-	// X0 is an optional feasible starting point. When nil a phase-1 LP is
-	// solved to find one.
+	// X0 is an optional feasible starting point. When nil, or when it fails
+	// the StartFeasible check, a phase-1 LP is solved to find one.
 	X0 []float64
 
 	// form carries the structure-exploiting Hessian when the problem was
@@ -204,6 +204,9 @@ type Instruments struct {
 	Factorizations *obs.Counter
 	// FactorReuse counts solves that reused the workspace's cached factor.
 	FactorReuse *obs.Counter
+	// Phase1 counts solves that ran the LP phase-1 (findFeasible) because
+	// X0 was nil or failed the StartFeasible check.
+	Phase1 *obs.Counter
 }
 
 // SetInstruments installs observability hooks on the workspace; call
@@ -315,7 +318,8 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 	if p.X0 != nil {
 		copy(x, p.X0)
 		if !ws.feasible(p, x, featol) {
-			//lint:ignore hotalloc cold start: phase-1 LP runs only when the warm start is infeasible
+			ws.instr.Phase1.Inc()
+			//lint:ignore hotalloc cold start: phase-1 runs only when X0 fails StartFeasible, which for ctrl's start ladder means the QP itself is infeasible
 			fx, err := findFeasible(p)
 			if err != nil {
 				return nil, err
@@ -323,6 +327,7 @@ func SolveWith(p *Problem, ws *Workspace) (*Result, error) {
 			x = fx
 		}
 	} else if p.Aeq != nil || p.Ain != nil {
+		ws.instr.Phase1.Inc()
 		//lint:ignore hotalloc cold start: no warm-start point was supplied at all
 		fx, err := findFeasible(p)
 		if err != nil {
@@ -922,6 +927,27 @@ func (ws *Workspace) feasible(p *Problem, x []float64, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// StartFeasible reports whether x passes the check SolveWith applies to a
+// supplied X0: every equality row within the absolute tolerance featol of
+// Beq and every inequality row at most featol above Bin, through the same
+// row dot products. A start that passes is used as is; one that fails sends
+// the solve to the LP phase-1. Callers that build their own warm starts
+// should judge them with this predicate, so that "feasible" means the same
+// thing on both sides. It follows the Workspace reuse contract (l's Aeq and
+// Ain must be the matrices ws serves); a nil ws checks without reuse.
+func (ws *Workspace) StartFeasible(l *LSProblem, x []float64) bool {
+	if ws == nil {
+		//lint:ignore hotalloc cold path: steady-state callers pass a warm workspace
+		ws = NewWorkspace()
+	}
+	p := Problem{
+		Aeq: l.Aeq, Beq: l.Beq,
+		Ain: l.Ain, Bin: l.Bin,
+		AeqSparse: l.AeqSparse, AinSparse: l.AinSparse,
+	}
+	return ws.feasible(&p, x, featol)
 }
 
 // feasible reports whether x satisfies all constraints within tol.

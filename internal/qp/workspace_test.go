@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/obs"
 )
 
 // workspaceFixture builds an SPD Hessian with one equality (Σx = b) and box
@@ -146,5 +147,54 @@ func TestSolveLSWithRejectsForeignForm(t *testing.T) {
 	l := &LSProblem{M: m2, D: []float64{1, 2, 3}, Wr: []float64{1, 1, 1}}
 	if _, err := SolveLSWith(l, form, nil); !errors.Is(err, ErrBadProblem) {
 		t.Fatalf("foreign form accepted: err = %v", err)
+	}
+}
+
+// TestStartFeasibleDecidesPhase1 pins StartFeasible as the predicate
+// SolveWith applies to X0: a start it accepts never reaches phase-1, one it
+// rejects always does, and a nil X0 always does — each phase-1 run counted
+// once on Instruments.Phase1.
+func TestStartFeasibleDecidesPhase1(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	n := 5
+	_, aeq, ain := workspaceFixture(r, n)
+	m := mat.Identity(n)
+	phase1 := obs.NewRegistry().Counter("phase1", "")
+	ws := NewWorkspace()
+	ws.SetInstruments(Instruments{Phase1: phase1})
+	bin := make([]float64, 2*n)
+	for i := range bin {
+		bin[i] = 1
+	}
+	ls := LSProblem{M: m, D: make([]float64, n), Wr: make([]float64, n), Aeq: aeq, Beq: []float64{1}, Ain: ain, Bin: bin}
+	form, err := NewLSForm(m, nil, ls.Wr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := [][]float64{
+		{0.2, 0.2, 0.2, 0.2, 0.2},          // feasible
+		{0.2, 0.2, 0.2, 0.2, 0.2 + 0.5e-7}, // residual inside featol
+		{0.2, 0.2, 0.2, 0.2, 0.2 + 2e-7},   // residual just outside featol
+		{1.5, -0.5, 0, 0, 0},               // box violated
+		nil,                                // no start: phase-1
+	}
+	want := uint64(0)
+	for i, x0 := range starts {
+		for j := range ls.D {
+			ls.D[j] = r.NormFloat64()
+		}
+		ls.X0 = x0
+		if x0 == nil || !ws.StartFeasible(&ls, x0) {
+			want++
+		}
+		if _, err := SolveLSWith(&ls, form, ws); err != nil {
+			t.Fatalf("start %d: %v", i, err)
+		}
+		if got := phase1.Value(); got != want {
+			t.Fatalf("start %d: phase-1 runs = %d, want %d", i, got, want)
+		}
+	}
+	if want != 3 {
+		t.Fatalf("fixture exercised %d phase-1 runs, want 3", want)
 	}
 }
