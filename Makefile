@@ -35,6 +35,10 @@
 #                  separate module, so `go test ./...` at the root skips
 #                  them); its replay-fidelity self-test replays
 #                  ctrl.MPC.Step bit for bit.
+#   make fuzz-smoke — 10 s of coverage-guided fuzzing per differential
+#                  target (FuzzQP, FuzzCholeskyFactorFrom, FuzzWarmStartRepair,
+#                  FuzzBlockedCholesky), beyond the checked-in corpora that
+#                  every `go test` run replays.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
 #                  Runs with -short: the dense C50×N20 control bench (a
@@ -45,7 +49,7 @@ GO ?= go
 BENCH_JSON ?= BENCH_PR9.json
 BENCH_REF ?= BENCH_PR8.json
 
-.PHONY: check vet lint build test race leaktest tickbench-test bench bench-smoke
+.PHONY: check vet lint build test race leaktest tickbench-test fuzz-smoke bench bench-smoke
 
 check: vet lint build test race
 
@@ -69,6 +73,12 @@ leaktest:
 
 tickbench-test:
 	cd tickbench && $(GO) test ./...
+
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzQP$$' -fuzztime=10s ./internal/qp/
+	$(GO) test -run='^$$' -fuzz='^FuzzCholeskyFactorFrom$$' -fuzztime=10s ./internal/mat/
+	$(GO) test -run='^$$' -fuzz='^FuzzWarmStartRepair$$' -fuzztime=10s ./internal/ctrl/
+	$(GO) test -run='^$$' -fuzz='^FuzzBlockedCholesky$$' -fuzztime=10s ./internal/mat/
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -check-series $(BENCH_REF) -check-perf $(BENCH_REF)

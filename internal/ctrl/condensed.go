@@ -49,13 +49,6 @@ type condensed struct {
 	psi   *mat.Dense
 	aeq   *mat.Dense
 	ain   *mat.Dense
-	// aeqS/ainS are compressed views of aeq/ain, populated only when the
-	// form is structured (planet-scale topologies): each horizon row touches
-	// a handful of columns out of thousands, so the solver's row dots drop
-	// to O(nnz). Sparse and dense dots are bit-identical, but the small
-	// checksummed topologies keep the legacy dense-only path regardless.
-	aeqS *mat.SparseRows
-	ainS *mat.SparseRows
 
 	// ws carries the QP solver's cross-solve caches; valid exactly as long
 	// as this condensed is (fixed H, aeq, ain).
@@ -184,11 +177,9 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 	// (it never does for the ridge-floored wr built above, but the fallback
 	// keeps the controller total); a rejection drops to the dense form.
 	var form *qp.LSForm
-	structuredForm := false
 	if nu*b2 >= qp.StructuredMinVars && !cfg.ForceDense {
 		if f, err := qp.NewStructuredLSForm(theta, wq, wr); err == nil {
 			form = f
-			structuredForm = true
 		}
 	}
 	if form == nil {
@@ -217,11 +208,6 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 			}
 		}
 	}
-	var aeqS, ainS *mat.SparseRows
-	if structuredForm {
-		aeqS = mat.SparseRowsFrom(aeq)
-		ainS = mat.SparseRowsFrom(ain)
-	}
 
 	return &condensed{
 		model:   model,
@@ -237,8 +223,6 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 		psi:     psi,
 		aeq:     aeq,
 		ain:     ain,
-		aeqS:    aeqS,
-		ainS:    ainS,
 		ws:      qp.NewWorkspace(),
 	}, nil
 }

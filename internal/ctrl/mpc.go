@@ -352,7 +352,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 		M: cd.theta, D: d, Wq: cd.wq, Wr: cd.wr,
 		Aeq: cd.aeq, Beq: beq,
 		Ain: cd.ain, Bin: bin,
-		AeqSparse: cd.aeqS, AinSparse: cd.ainS,
 	}
 	// warmStart judges its candidate starts against sc.ls, so it runs once
 	// the problem above is complete.

@@ -41,7 +41,7 @@ func naiveCholesky(a *Dense) (*Dense, int, error) {
 			d -= l.data[j*n+k] * l.data[j*n+k]
 		}
 		if d <= 0 {
-			return nil, j, ErrSingular
+			return nil, j, fmt.Errorf("mat: non-positive-definite at column %d (d=%g): %w", j, d, ErrSingular)
 		}
 		dj := math.Sqrt(d)
 		l.data[j*n+j] = dj
@@ -392,7 +392,7 @@ func FuzzBlockedLU(f *testing.F) {
 		a := fuzzDense(data, &off, n, n)
 		want, wantPiv, wantErr := naiveLU(a)
 		var f2 LU
-		lu := reuseUnset(nil, n, n)
+		lu := ReuseDenseUnset(nil, n, n)
 		copy(lu.data, a.data)
 		piv := make([]int, n)
 		for i := range piv {

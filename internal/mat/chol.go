@@ -34,35 +34,100 @@ func (c *Cholesky) Factor(a *Dense) error {
 		return fmt.Errorf("mat: cholesky of %dx%d: %w", a.rows, a.cols, ErrShape)
 	}
 	n := a.rows
-	// Zeroing reshape: only the lower triangle is written below, the strict
-	// upper triangle must be zero.
-	l := ReuseDense(c.l, n, n)
-	c.l, c.n = l, n
 	if n >= cholBlockMin {
-		// Bit-identical cache-tiled path for large systems (blocked.go).
+		// Bit-identical cache-tiled path for large systems (blocked.go). Its
+		// zeroing reshape matters: only the lower triangle is written.
+		l := ReuseDense(c.l, n, n)
+		c.l, c.n = l, n
 		return c.factorBlocked(a, l, n)
 	}
-	for j := 0; j < n; j++ {
-		d := a.data[j*n+j]
-		for k := 0; k < j; k++ {
-			d -= l.data[j*n+k] * l.data[j*n+k]
+	c.l, c.n = ReuseDenseUnset(c.l, n, n), n
+	return c.factorRows(a, 0)
+}
+
+// FactorFrom factors a like Factor, reusing the first p rows of src's
+// factor instead of recomputing them. Row i of L depends only on rows ≤ i
+// of a's lower triangle, so the result — and the failure column and d of a
+// non-positive-definite a — is bit-identical to Factor, provided the
+// leading p×p lower triangle of a equals that of the matrix src factored
+// (the caller's contract; it is not checked). Only the lower triangle of a
+// is read, and only its rows ≥ p.
+//
+// src may be c itself and may have any order ≥ p. For p = 0, or where
+// CholeskyExtends(n) is false, FactorFrom is Factor (which reads every row):
+// at blocked-factor sizes the tiled kernel outruns a row-ordered extension.
+// c's storage is grow-only, as with Factor.
+func (c *Cholesky) FactorFrom(a *Dense, src *Cholesky, p int) error {
+	if a.rows != a.cols {
+		return fmt.Errorf("mat: cholesky of %dx%d: %w", a.rows, a.cols, ErrShape)
+	}
+	n := a.rows
+	if p <= 0 || !CholeskyExtends(n) {
+		return c.Factor(a)
+	}
+	if p > n || p > src.n {
+		return fmt.Errorf("mat: cholesky prefix %d of order-%d source for order %d: %w", p, src.n, n, ErrShape)
+	}
+	m := src.n
+	sd := src.l.data[:m*m] // still the kept rows if the reshape below grows c
+	c.l, c.n = ReuseDenseUnset(c.l, n, n), n
+	ld := c.l.data
+	// Copy the kept rows into stride n. When src is c the two may share
+	// storage: a growing stride moves rows back to front and a shrinking one
+	// front to back, so no row is overwritten before it has moved, and each
+	// cleared strict-upper tail lies clear of every row still to move. At
+	// equal order the rows are already in place.
+	if src != c || n != m {
+		for t := 0; t < p; t++ {
+			i := t
+			if n > m {
+				i = p - 1 - t
+			}
+			copy(ld[i*n:i*n+i+1], sd[i*m:i*m+i+1])
+			clear(ld[i*n+i+1 : (i+1)*n])
+		}
+	}
+	return c.factorRows(a, p)
+}
+
+// factorRows computes rows p…n−1 of L (rows < p already in place), row by
+// row, writing every entry of each row including its zero strict-upper
+// tail. Each element subtracts its products for k ascending and then takes
+// the square root or divides — the chain of the textbook column-ordered
+// loop and of factorBlocked — and the first row whose pivot d is not
+// positive is the first such column, so the non-PD error names the same
+// column and d.
+func (c *Cholesky) factorRows(a *Dense, p int) error {
+	n := c.n
+	ld, ad := c.l.data, a.data
+	for i := p; i < n; i++ {
+		ri := ld[i*n : (i+1)*n]
+		for j := 0; j < i; j++ {
+			rj := ld[j*n : j*n+j+1]
+			s := ad[i*n+j]
+			for k := 0; k < j; k++ {
+				s -= ri[k] * rj[k]
+			}
+			ri[j] = s / rj[j]
+		}
+		d := ad[i*n+i]
+		for k := 0; k < i; k++ {
+			d -= ri[k] * ri[k]
 		}
 		if d <= 0 {
 			c.n = 0
-			return fmt.Errorf("mat: non-positive-definite at column %d (d=%g): %w", j, d, ErrSingular)
+			return fmt.Errorf("mat: non-positive-definite at column %d (d=%g): %w", i, d, ErrSingular)
 		}
-		dj := math.Sqrt(d)
-		l.data[j*n+j] = dj
-		for i := j + 1; i < n; i++ {
-			s := a.data[i*n+j]
-			for k := 0; k < j; k++ {
-				s -= l.data[i*n+k] * l.data[j*n+k]
-			}
-			l.data[i*n+j] = s / dj
-		}
+		ri[i] = math.Sqrt(d)
+		clear(ri[i+1:])
 	}
 	return nil
 }
+
+// CholeskyExtends reports whether FactorFrom on an order-n matrix extends
+// the shared prefix, reading only the rows of a after it. When it does not,
+// FactorFrom is Factor and reads every row of a's lower triangle.
+func CholeskyExtends(n int) bool { return n < cholBlockMin }
 
 // L returns a copy of the lower-triangular factor.
 func (c *Cholesky) L() *Dense { return c.l.Clone() }

@@ -29,16 +29,16 @@ import "fmt"
 // when it has capacity. d may be nil. When d is non-nil the same *Dense is
 // returned (reshaped in place).
 func ReuseDense(d *Dense, r, c int) *Dense {
-	d = reuseUnset(d, r, c)
+	d = ReuseDenseUnset(d, r, c)
 	for i := range d.data {
 		d.data[i] = 0
 	}
 	return d
 }
 
-// reuseUnset reshapes d to r-by-c reusing storage, leaving the element
-// values unspecified. For kernels that overwrite every entry.
-func reuseUnset(d *Dense, r, c int) *Dense {
+// ReuseDenseUnset is ReuseDense without the zeroing: the element values are
+// unspecified. For callers that write every entry they later read.
+func ReuseDenseUnset(d *Dense, r, c int) *Dense {
 	if d == nil {
 		//lint:ignore hotalloc nil dst means "allocate for me"; hot callers pass reused matrices
 		d = &Dense{}
@@ -150,7 +150,7 @@ func AddInto(dst, a, b *Dense) (*Dense, error) {
 	if a.rows != b.rows || a.cols != b.cols {
 		return nil, shapeErr("add", a, b)
 	}
-	dst = reuseUnset(dst, a.rows, a.cols)
+	dst = ReuseDenseUnset(dst, a.rows, a.cols)
 	for i := range a.data {
 		dst.data[i] = a.data[i] + b.data[i]
 	}
@@ -163,7 +163,7 @@ func SubInto(dst, a, b *Dense) (*Dense, error) {
 	if a.rows != b.rows || a.cols != b.cols {
 		return nil, shapeErr("sub", a, b)
 	}
-	dst = reuseUnset(dst, a.rows, a.cols)
+	dst = ReuseDenseUnset(dst, a.rows, a.cols)
 	for i := range a.data {
 		dst.data[i] = a.data[i] - b.data[i]
 	}
@@ -172,7 +172,7 @@ func SubInto(dst, a, b *Dense) (*Dense, error) {
 
 // ScaleInto computes dst = s*a elementwise. dst may alias a; nil allocates.
 func ScaleInto(dst *Dense, s float64, a *Dense) *Dense {
-	dst = reuseUnset(dst, a.rows, a.cols)
+	dst = ReuseDenseUnset(dst, a.rows, a.cols)
 	for i := range a.data {
 		dst.data[i] = s * a.data[i]
 	}
@@ -183,7 +183,7 @@ func ScaleInto(dst *Dense, s float64, a *Dense) *Dense {
 //
 //lint:noalias dst,a
 func TransposeInto(dst, a *Dense) *Dense {
-	dst = reuseUnset(dst, a.cols, a.rows)
+	dst = ReuseDenseUnset(dst, a.cols, a.rows)
 	for i := 0; i < a.rows; i++ {
 		for j := 0; j < a.cols; j++ {
 			dst.data[j*dst.cols+i] = a.data[i*a.cols+j]

@@ -37,7 +37,7 @@ func (f *LU) Factor(a *Dense) error {
 		return fmt.Errorf("mat: LU of %dx%d: %w", a.rows, a.cols, ErrShape)
 	}
 	n := a.rows
-	lu := reuseUnset(f.lu, n, n)
+	lu := ReuseDenseUnset(f.lu, n, n)
 	copy(lu.data, a.data)
 	piv := f.piv
 	if cap(piv) < n {

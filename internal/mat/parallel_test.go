@@ -308,7 +308,7 @@ func FuzzParallelLU(f *testing.F) {
 		a := fuzzDense(data, &off, n, n)
 		want, wantPiv, wantErr := naiveLU(a)
 		var f2 LU
-		lu := reuseUnset(nil, n, n)
+		lu := ReuseDenseUnset(nil, n, n)
 		copy(lu.data, a.data)
 		piv := make([]int, n)
 		for i := range piv {

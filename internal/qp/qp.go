@@ -18,13 +18,21 @@
 // Receding-horizon callers re-solve the same problem structure every
 // sampling period with fresh right-hand sides. Workspace captures the parts
 // of a solve that depend only on H, Aeq and Ain — the Cholesky factor of H,
-// the H⁻¹aᵢ columns, the Schur-complement products and the Gram–Schmidt
-// independence decisions — so SolveWith can reuse them across calls. All
+// the compressed constraint rows, the H⁻¹aᵢ columns, the Schur-complement
+// products and factors, and the Gram–Schmidt independence decisions for the
+// starting working set — so SolveWith can reuse them across calls. All
 // reuse is of bit-identical intermediate values; a solve with a warm
 // Workspace returns exactly the floats a cold solve would. The one
 // exception is structured mode (see Workspace.lastActive), which also
 // warm-starts the working set itself and so takes a shorter iteration
 // path than a cold solve — same unique minimizer, different rounding.
+//
+// Each active-set iteration does only the work its algebra requires. The
+// dependent-row prune runs once per solve, on the starting working set (a
+// line-search add is independent of the set it joins); constraint row dots
+// and updates touch only the rows' nonzeros; and a Schur factor that misses
+// the cache is extended from the longest working-set prefix it shares with
+// a cached factor instead of being refactored (DESIGN.md §3.4).
 package qp
 
 import (
@@ -60,15 +68,6 @@ type Problem struct {
 	// Ain, Bin define inequality constraints Ain·x ≤ bin.
 	Ain *mat.Dense
 	Bin []float64
-	// AeqSparse/AinSparse optionally carry the same constraint matrices in
-	// compressed-row form. When set they must match Aeq/Ain value for value;
-	// the solver then routes its hot row dot products (initial active-set
-	// detection, line search, Schur right-hand sides) through the sparse
-	// rows — bit-identical to the dense dots, O(nnz) instead of O(n) per
-	// row. The dense matrices are still required (Gram–Schmidt pruning and
-	// the H⁻¹aᵢ solves read full rows).
-	AeqSparse *mat.SparseRows
-	AinSparse *mat.SparseRows
 	// X0 is an optional feasible starting point. When nil, or when it fails
 	// the StartFeasible check, a phase-1 LP is solved to find one.
 	X0 []float64
@@ -104,11 +103,13 @@ const (
 // Everything cached here is a value some cold solve computed (or would
 // compute) with identical arithmetic: the Cholesky factor of H, the
 // H⁻¹aᵢ constraint columns, the Schur products aᵢᵀH⁻¹aⱼ and the factorized
-// Schur complements per working set, the Gram–Schmidt prune prefix and the
-// materialized constraint rows. Reuse therefore cannot change a solution
-// bit; it only skips recomputation. Exception: in structured mode the
-// lastActive working-set hint shortens the iteration path, so a warm
-// structured solve agrees with a cold one only to rounding.
+// Schur complements per working set (and, through mat.Cholesky.FactorFrom,
+// their shared leading rows), the Gram–Schmidt prune prefix and the
+// constraint rows, both as views and compressed to their nonzeros. Reuse
+// therefore cannot change a solution bit; it only skips recomputation.
+// Exception: in structured mode the lastActive working-set hint shortens
+// the iteration path, so a warm structured solve agrees with a cold one
+// only to rounding.
 //
 // Reusing a Workspace after H, Aeq or Ain changed produces wrong results —
 // build a fresh one instead. A nil *Workspace is accepted everywhere and
@@ -147,8 +148,7 @@ type Workspace struct {
 	// stable and a cached value is the bit a fresh computation produces.
 	schurV   []float64
 	schurSet []bool
-	// sfc caches the factorized Schur complement per kktStep call index —
-	// the same per-call-index replay idea as pruneState below.
+	// sfc caches the factorized Schur complement per kktStep call index.
 	sfc schurFactorCache
 	// lastActive records the final active inequality set of the previous
 	// successful solve (structured mode only). The next solve seeds its
@@ -166,9 +166,10 @@ type Workspace struct {
 	lastActiveOK bool
 	// prune is the incremental Gram–Schmidt state of pruneDependent.
 	prune pruneState
-	// aeqRows/ainRows are the materialized constraint rows (Dense.Row
-	// copies), filled lazily.
+	// aeqRows/ainRows are views of the constraint rows and aeqS/ainS the
+	// same rows compressed to their nonzeros, all filled lazily (see rows).
 	aeqRows, ainRows [][]float64
+	aeqS, ainS       *mat.SparseRows
 
 	// Grow-only scratch. Once every buffer has reached the problem's steady
 	// size, a SolveWith call that stays on the cached Schur path performs no
@@ -218,9 +219,12 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // rows materializes (and caches) the constraint rows of p as views into the
 // constraint matrices — no copies, so planet-scale row sets cost pointers
-// only. The views share the matrices' backing storage, which is safe under
-// the workspace contract: Aeq/Ain are fixed for the workspace's lifetime
-// and the solver never writes through a row.
+// only — and compresses the matrices once into the sparse rows that every
+// row dot and row update goes through (rowDot, rowAxpy). The views share
+// the matrices' backing storage, which is safe under the workspace
+// contract: Aeq/Ain are fixed for the workspace's lifetime and the solver
+// never writes through a row. The dense views still serve the Gram–Schmidt
+// prune, the H⁻¹aᵢ solves and the dense KKT fallback, which read full rows.
 func (ws *Workspace) rows(p *Problem) (aeqRows, ainRows [][]float64) {
 	if ws.aeqRows == nil && p.Aeq != nil {
 		//lint:ignore hotalloc one-time row-cache fill; every later solve reuses the rows
@@ -228,6 +232,8 @@ func (ws *Workspace) rows(p *Problem) (aeqRows, ainRows [][]float64) {
 		for i := range ws.aeqRows {
 			ws.aeqRows[i] = p.Aeq.RowView(i)
 		}
+		//lint:ignore hotalloc one-time compression; every later solve reuses the rows
+		ws.aeqS = mat.SparseRowsFrom(p.Aeq)
 	}
 	if ws.ainRows == nil && p.Ain != nil {
 		//lint:ignore hotalloc one-time row-cache fill; every later solve reuses the rows
@@ -235,8 +241,33 @@ func (ws *Workspace) rows(p *Problem) (aeqRows, ainRows [][]float64) {
 		for i := range ws.ainRows {
 			ws.ainRows[i] = p.Ain.RowView(i)
 		}
+		//lint:ignore hotalloc one-time compression; every later solve reuses the rows
+		ws.ainS = mat.SparseRowsFrom(p.Ain)
 	}
 	return ws.aeqRows, ws.ainRows
+}
+
+// rowDot returns constraint row id (equalities first, then inequalities)
+// dotted with x, over the row's nonzeros only. This is bit-identical to the
+// dense dot mat.Dot(row, x) for finite x: each skipped product is ±0, a sum
+// that starts at +0 never becomes −0 (in round-to-nearest x + y is −0 only
+// when both are −0), and s + (±0) = s for every s ≠ 0 — so the partial sums
+// take the same values in the same ascending-column order.
+func (ws *Workspace) rowDot(mEq, id int, x []float64) float64 {
+	if id < mEq {
+		return ws.aeqS.RowDot(id, x)
+	}
+	return ws.ainS.RowDot(id-mEq, x)
+}
+
+// rowAxpy accumulates dst += a·(constraint row id), touching only the row's
+// nonzeros.
+func (ws *Workspace) rowAxpy(mEq, id int, a float64, dst []float64) {
+	if id < mEq {
+		ws.aeqS.AddScaledRowInto(dst, id, a)
+		return
+	}
+	ws.ainS.AddScaledRowInto(dst, id-mEq, a)
 }
 
 // Validate checks dimensional consistency.
@@ -255,12 +286,6 @@ func (p *Problem) Validate() error {
 		if p.H.Cols() != n {
 			return fmt.Errorf("Hessian %dx%d not square: %w", p.H.Rows(), p.H.Cols(), ErrBadProblem)
 		}
-	}
-	if p.AeqSparse != nil && (p.Aeq == nil || p.AeqSparse.Rows() != p.Aeq.Rows() || p.AeqSparse.Cols() != p.Aeq.Cols()) {
-		return fmt.Errorf("AeqSparse does not match Aeq: %w", ErrBadProblem)
-	}
-	if p.AinSparse != nil && (p.Ain == nil || p.AinSparse.Rows() != p.Ain.Rows() || p.AinSparse.Cols() != p.Ain.Cols()) {
-		return fmt.Errorf("AinSparse does not match Ain: %w", ErrBadProblem)
 	}
 	if len(p.Q) != n {
 		return fmt.Errorf("q has length %d, want %d: %w", len(p.Q), n, ErrBadProblem)
@@ -416,21 +441,34 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 	useHint := p.form != nil && p.form.structured() &&
 		ws.lastActiveOK && len(ws.lastActive) == mIn
 	for i := 0; i < mIn; i++ {
-		if math.Abs(rowDotID(p, mEq, mEq+i, ainRows[i], x)-p.Bin[i]) <= featol {
+		if math.Abs(ws.rowDot(mEq, mEq+i, x)-p.Bin[i]) <= featol {
 			active[i] = !useHint || ws.lastActive[i]
 		}
 	}
-	ws.prune.beginSolve()
 	ws.sfc.beginSolve()
+	// The only prune of the solve: every later working set is this one
+	// minus dropped rows plus line-search adds, and both keep it
+	// independent (see pruneDependent).
 	pruneDependent(aeqRows, ainRows, active, mEq, &ws.prune)
 
 	maxIters := 100 + 20*(n+mEq+mIn)
 	fullSteps := 0
+	// stall counts the iterations since the last step of positive length.
+	// Bulk drops can cycle at a degenerate vertex (more rows tight than the
+	// working set can hold): each drop is undone by zero-length adds, and x
+	// never moves. Once stall exceeds stallMax, the solve switches to Bland's
+	// rule for good: drop only the lowest-index row with a negative
+	// multiplier (the line search already takes the lowest-index blocking
+	// row on ties), which cannot cycle. A solve that never stalls that long
+	// takes exactly the bulk-drop path.
+	stall, stallMax, bland := 0, n+mEq+mIn, false
 	for iter := 0; iter < maxIters; iter++ {
+		bland = bland || stall > stallMax
 		dir, lam, err := kktStep(p, hs, ws, aeqRows, ainRows, x, active, mEq)
 		if err != nil {
 			// Degenerate working set: drop one active constraint and retry.
 			if dropAny(active) {
+				stall++
 				continue
 			}
 			return nil, err
@@ -449,7 +487,7 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 			// search if the combined move overshoots.
 			dropped := false
 			li := mEq
-			for i := 0; i < mIn; i++ {
+			for i := 0; i < mIn && !(bland && dropped); i++ {
 				if !active[i] {
 					continue
 				}
@@ -478,6 +516,7 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 				return &ws.res, nil
 			}
 			fullSteps = 0
+			stall++
 			continue
 		}
 		// Line search to the nearest blocking inactive constraint.
@@ -487,12 +526,11 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 			if active[i] {
 				continue
 			}
-			row := ainRows[i]
-			ad := rowDotID(p, mEq, mEq+i, row, dir)
+			ad := ws.rowDot(mEq, mEq+i, dir)
 			if ad <= featol {
 				continue
 			}
-			slack := p.Bin[i] - rowDotID(p, mEq, mEq+i, row, x)
+			slack := p.Bin[i] - ws.rowDot(mEq, mEq+i, x)
 			if slack < 0 {
 				slack = 0
 			}
@@ -504,9 +542,13 @@ func activeSetLoop(p *Problem, hs hSolver, x0 []float64, n, mEq, mIn int, ws *Wo
 		for i := range x {
 			x[i] += alpha * dir[i]
 		}
+		if alpha > 0 {
+			stall = 0
+		} else {
+			stall++
+		}
 		if block >= 0 {
 			active[block] = true
-			pruneDependent(aeqRows, ainRows, active, mEq, &ws.prune)
 			fullSteps = 0
 		} else {
 			fullSteps++
@@ -613,28 +655,45 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 	// IS the factor a rebuild would produce (the S it factored was
 	// assembled from the same cached entries) — skip both the assembly and
 	// the Cholesky, which dominated the per-iteration cost.
-	ent := ws.sfc.next()
+	ent, prev := ws.sfc.next()
 	if !sameIDs(ent.ids, workIDs) {
-		ent.ids = ent.ids[:0] // invalid until Factor succeeds
-		// Assemble S (s_ij = aᵢᵀ·H⁻¹·aⱼ) from the per-pair entry cache,
-		// which persists across iterations and solves.
-		ws.schurBuf = mat.ReuseDense(ws.schurBuf, k, k)
+		// On a miss, extend the factor from the longest id prefix shared with
+		// this call index's last factor or with the previous call's factor in
+		// this solve: row i of L depends only on rows ≤ i of S, and equal id
+		// prefixes give equal rows of S (the same cached entries), so
+		// FactorFrom reproduces Factor bit for bit while computing only the
+		// rows after the prefix. At blocked-factor sizes FactorFrom is Factor
+		// and every row is assembled.
+		src, pre := &ent.chol, 0
+		if mat.CholeskyExtends(k) {
+			pre = commonPrefix(ent.ids, workIDs)
+			if prev != nil {
+				if q := commonPrefix(prev.ids, workIDs); q > pre {
+					src, pre = &prev.chol, q
+				}
+			}
+		}
+		ent.ids = ent.ids[:0] // invalid until the factor succeeds
+		// Assemble rows pre…k−1 of S's lower triangle (s_ij = aⱼᵀ·H⁻¹·aᵢ for
+		// j ≤ i) from the per-pair entry cache, which persists across
+		// iterations and solves; both factor paths read nothing else, so
+		// schurBuf is reshaped without clearing and only that part is valid.
+		ws.schurBuf = mat.ReuseDenseUnset(ws.schurBuf, k, k)
 		schur := ws.schurBuf
 		nIDs := ws.nIDs
-		for i := 0; i < k; i++ {
-			for j := i; j < k; j++ {
-				idx := workIDs[i]*nIDs + workIDs[j]
+		for i := pre; i < k; i++ {
+			for j := 0; j <= i; j++ {
+				idx := workIDs[j]*nIDs + workIDs[i]
 				v := ws.schurV[idx]
 				if !ws.schurSet[idx] {
-					v = rowDotID(p, mEq, workIDs[i], workRows[i], z[j])
+					v = ws.rowDot(mEq, workIDs[j], z[i])
 					ws.schurV[idx] = v
 					ws.schurSet[idx] = true
 				}
 				schur.Set(i, j, v)
-				schur.Set(j, i, v)
 			}
 		}
-		if err := ent.chol.Factor(schur); err != nil {
+		if err := ent.chol.FactorFrom(schur, src, pre); err != nil {
 			return nil, nil, fmt.Errorf("qp: singular KKT system: %w", err)
 		}
 		//lint:ignore hotalloc grow-only id key: reaches steady size, then reused
@@ -643,8 +702,8 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 	// S·λ = Aw·y.
 	ws.rhs = mat.GrowVec(ws.rhs, k)
 	rhs := ws.rhs
-	for i, row := range workRows {
-		rhs[i] = rowDotID(p, mEq, workIDs[i], row, y)
+	for i, id := range workIDs {
+		rhs[i] = ws.rowDot(mEq, id, y)
 	}
 	ws.lamBuf = mat.GrowVec(ws.lamBuf, k)
 	lam = ws.lamBuf
@@ -667,7 +726,7 @@ func schurStep(p *Problem, hs hSolver, ws *Workspace, workRows [][]float64, work
 			if li == 0 {
 				continue
 			}
-			rowAxpyID(p, mEq, id, workRows[i], -li, acc)
+			ws.rowAxpy(mEq, id, -li, acc)
 		}
 		if err := hs.SolveVecInto(dir, acc); err != nil {
 			return nil, nil, fmt.Errorf("qp: H solve: %w", err)
@@ -721,11 +780,11 @@ type schurFactorEntry struct {
 }
 
 // schurFactorCache caches the factorized Schur complement per kktStep call
-// index within a solve — the per-call-index replay idea of pruneState: the
-// working set evolves identically across steady-state re-solves, so call
-// index c sees the same id sequence every solve and its factor can be
-// reused verbatim. The entries never invalidate each other; a call whose
-// ids differ simply refactors its own slot.
+// index within a solve: the working set evolves identically across
+// steady-state re-solves, so call index c sees the same id sequence every
+// solve and its factor can be reused verbatim. The entries never invalidate
+// each other; a call whose ids differ rebuilds its own slot, extending the
+// longest prefix it shares with its old factor or the previous call's.
 type schurFactorCache struct {
 	entries []*schurFactorEntry
 	call    int
@@ -734,32 +793,41 @@ type schurFactorCache struct {
 // beginSolve rewinds the call counter; each kktStep claims the next slot.
 func (c *schurFactorCache) beginSolve() { c.call = 0 }
 
-// next returns (growing on demand) the entry for the current call index.
+// next returns (growing on demand) the entry for the current call index,
+// and the previous call's entry of this solve (nil for the first call).
 //
 //lint:hotsafe grow-only slot list: one append per call index, then reused
-func (c *schurFactorCache) next() *schurFactorEntry {
+func (c *schurFactorCache) next() (cur, prev *schurFactorEntry) {
 	if c.call >= len(c.entries) {
 		//lint:ignore hotalloc grow-only cache: one entry per call index, then reused every solve
 		c.entries = append(c.entries, &schurFactorEntry{})
 	}
-	e := c.entries[c.call]
+	if c.call > 0 {
+		prev = c.entries[c.call-1]
+	}
+	cur = c.entries[c.call]
 	c.call++
-	return e
+	return cur, prev
 }
 
 // sameIDs reports whether a and b hold the same id sequence.
 //
 //lint:hotsafe integer comparison loop, no allocation
 func sameIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
+	return len(a) == len(b) && commonPrefix(a, b) == len(a)
+}
+
+// commonPrefix returns the length of the longest common prefix of a and b.
+//
+//lint:hotsafe integer comparison loop, no allocation
+func commonPrefix(a, b []int) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
-			return false
+			return i
 		}
 	}
-	return true
+	return n
 }
 
 // pruneEntry is one processed working-set row: its id and its orthonormal
@@ -781,46 +849,45 @@ type pruneEntry struct {
 // the accepted rows before it, so while the id sequence matches, both the
 // decision and the basis vector are exactly what a cold run would compute —
 // reuse is bit-identical. The first position where the working set differs
-// invalidates the cached suffix.
-//
-// The working set evolves across the several pruneDependent calls of one
-// active-set solve, so a single shared sequence would be truncated and
-// rebuilt on every call. Instead each call index within a solve owns its
-// own cached sequence: a steady-state re-solve replays the same evolution
-// and hits every cache position, making the whole solve recompute- and
-// allocation-free.
+// invalidates the cached suffix. pruneDependent runs once per solve, so one
+// sequence serves every solve: a steady-state re-solve starts from the same
+// working set and replays it without recomputing or allocating.
 type pruneState struct {
-	seqs [][]pruneEntry
-	call int
+	entries []pruneEntry
 }
-
-// beginSolve rewinds the per-solve call counter so the first
-// pruneDependent call of this solve replays the first call of the last one.
-func (ps *pruneState) beginSolve() { ps.call = 0 }
 
 // pruneDependent removes active inequality constraints whose normals are
 // linearly dependent with the equality rows and earlier active rows, keeping
 // the KKT system nonsingular. Independence is tested by incremental
 // modified Gram–Schmidt; with a warm pruneState only the rows at and after
 // the first working-set change are re-orthogonalized.
+//
+// It runs once per solve, on the working set found geometrically at the
+// start point. Later sets need no prune: a stationarity drop leaves a subset
+// of an independent set, and a line-search add enters with a_b·dir > featol
+// while Aw·dir = 0, so a_b ∉ span(W) and W ∪ {b} is independent too — a
+// Gram–Schmidt pass over it could only re-confirm every row. A set that is
+// dependent in floating point anyway fails the Schur Cholesky and takes the
+// dropAny path.
 func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pruneState) {
-	if ps.call >= len(ps.seqs) {
-		//lint:ignore hotalloc grow-only cache: one sequence per call index, then reused
-		ps.seqs = append(ps.seqs, nil)
-	}
-	entries := ps.seqs[ps.call]
+	entries := ps.entries
 	pos := 0
 	// residualOf orthogonalizes row (twice, for numerical robustness)
 	// against the accepted basis prefix; it returns the normalized residual,
-	// or nil when the row is numerically dependent.
+	// or nil when the row is numerically dependent. The residual reuses the
+	// storage of the cached entry it replaces when there is one.
 	residualOf := func(row []float64) []float64 {
 		norm0 := mat.NormVec(row)
 		//lint:ignore floateq an exactly-zero row has no direction and must be rejected
 		if norm0 == 0 {
 			return nil
 		}
-		//lint:ignore hotalloc cache miss: steady-state re-solves replay cached decisions instead
-		r := append([]float64{}, row...)
+		var r []float64
+		if pos < cap(entries) {
+			r = entries[:pos+1][pos].vec[:0]
+		}
+		//lint:ignore hotalloc cache miss: grows the replaced entry's vector, steady-state re-solves replay cached decisions instead
+		r = append(r, row...)
 		for pass := 0; pass < 2; pass++ {
 			for _, e := range entries[:pos] {
 				if e.vec == nil {
@@ -871,8 +938,7 @@ func pruneDependent(aeqRows, ainRows [][]float64, active []bool, mEq int, ps *pr
 	}
 	// Entries beyond pos are kept: if those rows re-enter the working set
 	// after an identical prefix, their decisions are still exact.
-	ps.seqs[ps.call] = entries
-	ps.call++
+	ps.entries = entries
 }
 
 func dropAny(active []bool) bool {
@@ -911,18 +977,18 @@ func (ws *Workspace) objective(p *Problem, x []float64) float64 {
 	return 0.5*mat.Dot(x, ws.hxBuf) + mat.Dot(p.Q, x)
 }
 
-// feasible is the package-level feasible check through the workspace's
-// materialized rows: the same per-row dot products, no Ax vector.
+// feasible reports whether x satisfies every constraint row within tol,
+// through the workspace's compressed rows.
 func (ws *Workspace) feasible(p *Problem, x []float64, tol float64) bool {
 	aeqRows, ainRows := ws.rows(p)
 	mEq := len(aeqRows)
-	for i, row := range aeqRows {
-		if math.Abs(rowDotID(p, mEq, i, row, x)-p.Beq[i]) > tol {
+	for i := range aeqRows {
+		if math.Abs(ws.rowDot(mEq, i, x)-p.Beq[i]) > tol {
 			return false
 		}
 	}
-	for i, row := range ainRows {
-		if rowDotID(p, mEq, mEq+i, row, x) > p.Bin[i]+tol {
+	for i := range ainRows {
+		if ws.rowDot(mEq, mEq+i, x) > p.Bin[i]+tol {
 			return false
 		}
 	}
@@ -945,36 +1011,8 @@ func (ws *Workspace) StartFeasible(l *LSProblem, x []float64) bool {
 	p := Problem{
 		Aeq: l.Aeq, Beq: l.Beq,
 		Ain: l.Ain, Bin: l.Bin,
-		AeqSparse: l.AeqSparse, AinSparse: l.AinSparse,
 	}
 	return ws.feasible(&p, x, featol)
-}
-
-// feasible reports whether x satisfies all constraints within tol.
-func feasible(p *Problem, x []float64, tol float64) bool {
-	if p.Aeq != nil {
-		ax, err := mat.MulVec(p.Aeq, x)
-		if err != nil {
-			return false
-		}
-		for i, v := range ax {
-			if math.Abs(v-p.Beq[i]) > tol {
-				return false
-			}
-		}
-	}
-	if p.Ain != nil {
-		ax, err := mat.MulVec(p.Ain, x)
-		if err != nil {
-			return false
-		}
-		for i, v := range ax {
-			if v > p.Bin[i]+tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // findFeasible runs an LP phase-1 with variable splitting x = x⁺ − x⁻ and
@@ -1052,11 +1090,7 @@ type LSProblem struct {
 	Beq []float64
 	Ain *mat.Dense
 	Bin []float64
-	// AeqSparse/AinSparse optionally mirror Aeq/Ain in compressed-row form;
-	// see Problem.AeqSparse for the contract.
-	AeqSparse *mat.SparseRows
-	AinSparse *mat.SparseRows
-	X0        []float64
+	X0  []float64
 }
 
 // Lower converts the least-squares formulation to a quadratic program.
@@ -1203,7 +1237,6 @@ func SolveLSWith(l *LSProblem, form *LSForm, ws *Workspace) (*Result, error) {
 		H: form.h, Q: q,
 		Aeq: l.Aeq, Beq: l.Beq,
 		Ain: l.Ain, Bin: l.Bin,
-		AeqSparse: l.AeqSparse, AinSparse: l.AinSparse,
 		X0:   l.X0,
 		form: form,
 	}

@@ -510,3 +510,32 @@ func TestSchurAndDenseAgree(t *testing.T) {
 		t.Fatalf("paths disagree:\nschur %v\ndense %v", schur.X, dense.X)
 	}
 }
+
+// feasible reports whether x satisfies all constraints within tol, through
+// plain matrix-vector products: an oracle independent of the solver's
+// compressed-row check.
+func feasible(p *Problem, x []float64, tol float64) bool {
+	if p.Aeq != nil {
+		ax, err := mat.MulVec(p.Aeq, x)
+		if err != nil {
+			return false
+		}
+		for i, v := range ax {
+			if math.Abs(v-p.Beq[i]) > tol {
+				return false
+			}
+		}
+	}
+	if p.Ain != nil {
+		ax, err := mat.MulVec(p.Ain, x)
+		if err != nil {
+			return false
+		}
+		for i, v := range ax {
+			if v > p.Bin[i]+tol {
+				return false
+			}
+		}
+	}
+	return true
+}
