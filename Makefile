@@ -24,10 +24,10 @@
 #                  after normalizing out machine drift via the frozen Expm
 #                  calibration bench, or if a same-run ratio pin misses its
 #                  floor: the structured C50×N20 MPC step must keep its ≥5×
-#                  edge over the ForceDense control, pooled fleet stepping
-#                  its ≥1.8× edge over serial, and a kernel-pool-attached
-#                  solve must cost ≤1.15× the plain one (the parallel
-#                  benches skip below 4 CPUs; skipped pins are not errors).
+#                  edge over the ForceDense control, and pooled core.StepAll
+#                  fleet stepping (C5×N3) its ≥1.8× edge over serial (the
+#                  fleet bench skips below 4 CPUs; skipped pins are not
+#                  errors).
 #                  The cross-snapshot gate only means something between
 #                  runs on the same machine, which is why it lives here
 #                  and not in CI.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
+	"repro/internal/core"
 	"repro/internal/ctrl"
 	"repro/internal/forecast"
 	"repro/internal/idc"
@@ -295,8 +296,8 @@ func BenchmarkMPCStepScalingDense(b *testing.B) {
 	})
 }
 
-// skipUnlessParallel gates the multicore benchmarks: below 4 CPUs the
-// pool cannot demonstrate a speedup (the benchjson ratio pins skip when
+// skipUnlessParallel gates the multicore benchmark: below 4 CPUs the
+// pool cannot demonstrate a speedup (the benchjson ratio pin skips when
 // the records are absent), and CI's -short bench-smoke only verifies
 // checksums, which the worker pool must not affect in the first place.
 func skipUnlessParallel(b *testing.B) {
@@ -309,106 +310,61 @@ func skipUnlessParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkMPCStepParallel is the no-regression line for the kernel pool:
-// one steady-state planet-scale solve with the pool attached to the mat
-// layer. The warm step's kernels sit below the parallel dispatch
-// thresholds (DESIGN.md §3.12), so this must cost the same as
-// MPCStepScaling/C50xN20 — the benchjson ratio pin holds it to ≤1.15× of
-// the serial line. The throughput win of the pool is measured where it
-// exists, across a fleet (BenchmarkFleetStep).
-func BenchmarkMPCStepParallel(b *testing.B) {
-	rigs := map[string]*mpcScalingRig{}
-	defer releaseScalingRigs(rigs)
-	b.Run(sizeName(50, 20), func(b *testing.B) {
-		skipUnlessParallel(b)
-		pool := par.NewPool(context.Background(), 0)
-		defer pool.Close()
-		mat.SetPool(pool)
-		defer mat.SetPool(nil)
-		rig := mpcScalingRigFor(b, rigs, 50, 20, false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rig.mpc.Step(rig.in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// fleetBenchRig is a warmed multi-tenant fleet at one topology size,
-// cached across b.N escalations for the same reason as mpcScalingRig —
-// each shard owns its model, controller and scratch, so the pooled and
-// serial sub-benchmarks step identical, independent problems.
-type fleetBenchRig struct {
-	ms   []*ctrl.MPC
-	ins  []ctrl.StepInput
-	outs []*ctrl.StepOutput
-	errs []error
-}
-
-func fleetBenchRigFor(b *testing.B, cache map[string]*fleetBenchRig, pool *par.Pool, shards, c, n int) *fleetBenchRig {
+// fleetStepRig builds shards independent paper-topology controllers —
+// the multi-tenant shape of tickbench's fleet-day, one start hour per
+// tenant — and steps each past its cold first tick.
+func fleetStepRig(b *testing.B, shards int) ([]*core.Controller, [][]float64, []*core.Telemetry, []error) {
 	b.Helper()
-	key := sizeName(c, n)
-	if rig, ok := cache[key]; ok {
-		return rig
+	cs := make([]*core.Controller, shards)
+	demands := make([][]float64, shards)
+	for i := range cs {
+		c, err := core.New(core.Config{
+			Topology:  idc.PaperTopology(),
+			Prices:    price.NewEmbeddedModel(),
+			Ts:        30,
+			StartHour: i,
+			MPC:       ctrl.MPCConfig{PowerWeight: 1, SmoothWeight: 6},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs[i] = c
+		demands[i] = workload.TableI()
 	}
-	rig := &fleetBenchRig{
-		ms:   make([]*ctrl.MPC, shards),
-		ins:  make([]ctrl.StepInput, shards),
-		outs: make([]*ctrl.StepOutput, shards),
-		errs: make([]error, shards),
-	}
-	for i := 0; i < shards; i++ {
-		shard := map[string]*mpcScalingRig{}
-		s := mpcScalingRigFor(b, shard, c, n, false)
-		rig.ms[i], rig.ins[i] = s.mpc, s.in
-	}
-	// Warm through the pooled path so every shard's scratch reaches steady
-	// size under the exact dispatch the pooled sub-benchmark measures.
+	tels := make([]*core.Telemetry, shards)
+	errs := make([]error, shards)
 	for k := 0; k < 2; k++ {
-		if err := ctrl.StepAll(pool, rig.ms, rig.ins, rig.outs, rig.errs); err != nil {
+		if err := core.StepAll(nil, cs, demands, tels, errs); err != nil {
 			b.Fatal(err)
 		}
 	}
-	cache[key] = rig
-	return rig
+	return cs, demands, tels, errs
 }
 
 // BenchmarkFleetStep measures the fleet-step pool's throughput claim:
-// four independent planet-scale controllers stepped per call, once
-// through the worker pool and once serially on the calling goroutine.
-// The results are bit-identical (TestStepAllMatchesSerial); the pool only
-// buys wall-clock, and the benchjson ratio pin holds pool to ≤55.5% of
-// serial — the ≥1.8× floor the fleet-step substrate is sold on.
+// four independent paper-topology controllers stepped per core.StepAll
+// call, once through the worker pool and once serially on the calling
+// goroutine. The results are bit-identical (TestCoreStepAllMatchesSerial);
+// the pool only buys wall-clock, and the benchjson ratio pin holds pool to
+// ≤55.5% of serial — the ≥1.8× floor the fleet-step substrate is sold on.
+// Every 120th call crosses an hour and runs each tenant's slow tick.
 func BenchmarkFleetStep(b *testing.B) {
 	const shards = 4
-	cache := map[string]*fleetBenchRig{}
-	defer func() {
-		for k := range cache {
-			delete(cache, k)
-		}
-		runtime.GC()
-	}()
 	pool := par.NewPool(context.Background(), 0)
 	defer pool.Close()
-	b.Run(sizeName(50, 20)+"/pool", func(b *testing.B) {
-		skipUnlessParallel(b)
-		rig := fleetBenchRigFor(b, cache, pool, shards, 50, 20)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ctrl.StepAll(pool, rig.ms, rig.ins, rig.outs, rig.errs); err != nil {
-				b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		pool *par.Pool
+	}{{"pool", pool}, {"serial", nil}} {
+		b.Run(sizeName(5, 3)+"/"+mode.name, func(b *testing.B) {
+			skipUnlessParallel(b)
+			cs, demands, tels, errs := fleetStepRig(b, shards)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := core.StepAll(mode.pool, cs, demands, tels, errs); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run(sizeName(50, 20)+"/serial", func(b *testing.B) {
-		skipUnlessParallel(b)
-		rig := fleetBenchRigFor(b, cache, pool, shards, 50, 20)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := ctrl.StepAll(nil, rig.ms, rig.ins, rig.outs, rig.errs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

@@ -238,7 +238,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		sc.Demands = portals.Demands
+		sc.DemandSource = feed.FromFunc(portals.Demands)
 	} else if *diurnal {
 		gens := make([]workload.Generator, top.C())
 		for i, base := range workload.TableI() {
@@ -254,7 +254,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		sc.Demands = portals.Demands
+		sc.DemandSource = feed.FromFunc(portals.Demands)
 	}
 
 	closeFeed, ferr := applyFeedFlags(&sc, *feedPath, *staleTicks)
@@ -276,7 +276,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) (err error) {
 func applyFeedFlags(sc *sim.Scenario, feedPath string, staleTicks int) (func() error, error) {
 	closer := func() error { return nil }
 	if feedPath != "" {
-		if sc.Demands != nil || sc.DemandSource != nil {
+		if sc.DemandSource != nil {
 			return nil, errors.New("-feed conflicts with -diurnal, -workload-trace and config-file demands")
 		}
 		var r io.Reader

@@ -1,13 +1,33 @@
 package config
 
 import (
+	"context"
 	"errors"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/feed"
 	"repro/internal/sim"
 )
+
+// demandAt pulls src forward to step k and returns that step's demand
+// vector.
+func demandAt(t *testing.T, src feed.Source, k int) []float64 {
+	t.Helper()
+	if src == nil {
+		t.Fatal("no demand source")
+	}
+	for {
+		s, err := src.Next(context.Background())
+		if err != nil {
+			t.Fatalf("demand source: %v", err)
+		}
+		if s.Seq == k {
+			return s.Values
+		}
+	}
+}
 
 const validJSON = `{
   "name": "two-region",
@@ -46,7 +66,7 @@ func TestParseValid(t *testing.T) {
 	if sc.Topology.IDC(0).DelayBound != 0.001 {
 		t.Fatalf("delay bound = %g", sc.Topology.IDC(0).DelayBound)
 	}
-	if sc.Demands == nil || sc.Demands(0)[0] != 12000 {
+	if demandAt(t, sc.DemandSource, 0)[0] != 12000 {
 		t.Fatal("constant demands not materialized")
 	}
 }
@@ -127,9 +147,15 @@ func TestBidstackAndDiurnalAndForecast(t *testing.T) {
 	if !sc.UseForecast {
 		t.Fatal("forecast not enabled")
 	}
-	d0 := sc.Demands(0)
-	d100 := sc.Demands(100)
-	if d0[0] == d100[0] {
+	// Pulling advances a source, so read the demands through a second,
+	// identical scenario and run the first one untouched.
+	probe, err := f.Scenario()
+	if err != nil {
+		t.Fatalf("Scenario: %v", err)
+	}
+	d0 := demandAt(t, probe.DemandSource, 0)[0]
+	d100 := demandAt(t, probe.DemandSource, 100)[0]
+	if d0 == d100 {
 		t.Fatal("diurnal demands look constant")
 	}
 	res, err := sim.Run(sc)

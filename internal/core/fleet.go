@@ -8,7 +8,7 @@ import (
 )
 
 // coreFleetTask fans one StepAll over the pool; index i steps controller i
-// with its demand vector. Reused so steady fleet steps allocate nothing.
+// with its demand vector. Reused so the dispatch itself allocates nothing.
 type coreFleetTask struct {
 	cs      []*Controller
 	demands [][]float64
@@ -32,8 +32,10 @@ var coreFleetTaskPool = sync.Pool{New: func() any { return new(coreFleetTask) }}
 //
 // cs, demands, tels and errs must have equal length and the controllers
 // must be pairwise distinct: a Controller is not safe for concurrent use
-// (it owns its MPC's unsynchronized workspace — see ctrl.StepAll), so one
-// instance may appear in a fleet only once. Telemetry records follow
+// (it owns its MPC's unsynchronized QP workspace and scratch — see
+// qp.Workspace), so one instance may appear in a fleet only once; with
+// that, and the pool dispatching each index exactly once, the fan-out is
+// race-free without locking in the step path. Telemetry records follow
 // Step's ownership rules.
 func StepAll(p *par.Pool, cs []*Controller, demands [][]float64, tels []*Telemetry, errs []error) error {
 	if len(demands) != len(cs) || len(tels) != len(cs) || len(errs) != len(cs) {

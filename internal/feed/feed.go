@@ -18,8 +18,7 @@
 //     (OverflowDropOldest, keep the freshest window, count the drops) or
 //     backpressure (OverflowBlock, stall the producer). See ring.go.
 //   - Online anomaly detection — windowed Welford mean/σ statistics with
-//     hysteresis-latched spike (SpikeDetector) and forecast-drift
-//     (DriftDetector) detectors. See welford.go.
+//     a hysteresis-latched spike detector (SpikeDetector). See welford.go.
 //
 // The package is stdlib-only and imports nothing above it; internal/core
 // consumes the detectors, internal/sim and the CLIs consume the sources.
@@ -70,10 +69,10 @@ type funcSource struct {
 	step int
 }
 
-// FromFunc adapts the legacy step-indexed callback (Scenario.Demands) to a
-// Source: sample k carries Seq k and fn(k)'s vector, unmodified, so the
-// feed path is bit-identical to calling fn directly. The stream never
-// ends; bound it with the consumer's step count or ctx.
+// FromFunc adapts a step-indexed demand callback to a Source: sample k
+// carries Seq k and fn(k)'s vector, unmodified, so the feed path is
+// bit-identical to calling fn directly. The stream never ends; bound it
+// with the consumer's step count or ctx.
 func FromFunc(fn func(step int) []float64) Source {
 	return &funcSource{fn: fn}
 }

@@ -65,8 +65,6 @@ func (w *Welford) Sigma() float64 {
 const (
 	defaultSpikeEnterSigma = 4.0
 	defaultSpikeExitSigma  = 2.0
-	defaultDriftEnterT     = 5.0
-	defaultDriftExitT      = 2.0
 	// detectorMinSamples is how many baseline samples a detector needs
 	// before it starts judging — below it everything passes as nominal.
 	detectorMinSamples = 3
@@ -132,54 +130,3 @@ func (d *SpikeDetector) Observe(x float64) bool {
 
 // Latched reports the current latch state without observing.
 func (d *SpikeDetector) Latched() bool { return d.latched }
-
-// DriftDetector flags a persistent bias between forecast and observation —
-// the forecast-drift monitor. It keeps windowed Welford statistics of the
-// forecast error e = actual − predicted and latches on the t-statistic
-// |ē|·√n/σₑ: zero-mean noise keeps the statistic small no matter how loud
-// it is, while a sustained bias grows it with √n — which is what
-// discriminates drift from noise. Hysteresis (exit < enter) de-flaps the
-// latch exactly as in SpikeDetector.
-type DriftDetector struct {
-	errs    *Welford
-	enter   float64
-	exit    float64
-	latched bool
-}
-
-// NewDriftDetector builds a detector over the last `window` forecast
-// errors. Non-positive thresholds take the defaults (enter t=5, exit t=2);
-// exit is clamped below enter.
-func NewDriftDetector(window int, enterT, exitT float64) *DriftDetector {
-	if enterT <= 0 {
-		enterT = defaultDriftEnterT
-	}
-	if exitT <= 0 || exitT >= enterT {
-		exitT = enterT / 2
-	}
-	return &DriftDetector{errs: NewWelford(window), enter: enterT, exit: exitT}
-}
-
-// Observe records one (predicted, actual) pair and returns the latch
-// state after it.
-func (d *DriftDetector) Observe(predicted, actual float64) bool {
-	d.errs.Observe(actual - predicted)
-	n := d.errs.N()
-	if n < detectorMinSamples {
-		return d.latched
-	}
-	mean := d.errs.Mean()
-	sigma := sigmaFloor(d.errs.Sigma(), mean)
-	t := math.Abs(mean) * math.Sqrt(float64(n)) / sigma
-	if d.latched {
-		if t < d.exit {
-			d.latched = false
-		}
-	} else if t > d.enter {
-		d.latched = true
-	}
-	return d.latched
-}
-
-// Latched reports the current latch state without observing.
-func (d *DriftDetector) Latched() bool { return d.latched }

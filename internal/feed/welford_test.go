@@ -171,52 +171,3 @@ func TestSpikeDetectorThresholdClamps(t *testing.T) {
 		t.Fatalf("exit %g not clamped below enter %g", d.exit, d.enter)
 	}
 }
-
-func TestDriftDetectorBiasVersusNoise(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-
-	// Loud zero-mean noise: forecast errors of ±20 around zero. The
-	// t-statistic stays small no matter the amplitude.
-	noise := NewDriftDetector(32, 5, 2)
-	for i := 0; i < 200; i++ {
-		predicted := 100.0
-		actual := predicted + 20*rng.NormFloat64()
-		if noise.Observe(predicted, actual) {
-			t.Fatalf("zero-mean noise latched drift at step %d", i)
-		}
-	}
-
-	// A small but persistent bias — one tenth the noise amplitude — grows
-	// the t-statistic with √n and must latch within the window.
-	bias := NewDriftDetector(32, 5, 2)
-	latched := false
-	for i := 0; i < 64; i++ {
-		predicted := 100.0
-		actual := predicted + 2 + 0.5*rng.NormFloat64()
-		latched = bias.Observe(predicted, actual)
-	}
-	if !latched {
-		t.Fatal("persistent bias never latched drift")
-	}
-
-	// And once the forecast is corrected, the latch releases.
-	for i := 0; i < 64; i++ {
-		predicted := 100.0
-		actual := predicted + 0.5*rng.NormFloat64()
-		latched = bias.Observe(predicted, actual)
-	}
-	if latched {
-		t.Fatal("drift latch did not release after the bias vanished")
-	}
-}
-
-func TestDriftDetectorExactForecast(t *testing.T) {
-	// A perfect forecast has zero errors — flat window, σ floored — and
-	// must stay nominal: |ē| is exactly 0, so the t-statistic is 0.
-	d := NewDriftDetector(16, 5, 2)
-	for i := 0; i < 20; i++ {
-		if d.Observe(42, 42) {
-			t.Fatalf("perfect forecast latched at step %d", i)
-		}
-	}
-}

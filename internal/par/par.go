@@ -1,14 +1,13 @@
-// Package par is the bounded worker-pool substrate under the parallel
-// numeric kernels (internal/mat) and the fleet-step API (internal/ctrl,
-// internal/core). One Pool owns a fixed set of goroutines — sized by
+// Package par is the bounded worker-pool substrate under the fleet-step
+// API (core.StepAll). One Pool owns a fixed set of goroutines — sized by
 // GOMAXPROCS by default — and dispatches half-open index ranges of a loop
 // across them in chunks.
 //
 // The pool exists for loops whose iterations are independent and whose
 // per-iteration work is itself deterministic: a dispatch reorders work
-// ACROSS iterations but never within one, so a kernel that keeps each
-// output element's accumulation chain intact is bit-identical however many
-// workers run it (DESIGN.md §3.12 has the full determinism contract).
+// ACROSS iterations but never within one, so a loop over independent
+// tenants is bit-identical however many workers run it (DESIGN.md §3.12
+// has the full determinism contract).
 //
 // Steady-state discipline matches the rest of the fast loop: every channel
 // and buffer a dispatch touches is allocated once at construction, so
@@ -19,8 +18,7 @@
 //
 //   - Run serializes itself: one dispatch owns the workers at a time. A
 //     Run that finds the pool busy — including a Run issued from inside a
-//     worker of the same pool, the fleet-step-calls-parallel-kernel case —
-//     executes the task inline on the calling goroutine instead of
+//     worker of the same pool — executes the task inline on the calling goroutine instead of
 //     queueing. Results are identical either way, so the fallback is a
 //     scheduling decision, not a semantic one, and the pool can never
 //     deadlock on itself.
