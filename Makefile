@@ -37,8 +37,8 @@
 #                  ctrl.MPC.Step bit for bit.
 #   make fuzz-smoke — 10 s of coverage-guided fuzzing per differential
 #                  target (FuzzQP, FuzzCholeskyFactorFrom, FuzzWarmStartRepair,
-#                  FuzzBlockedCholesky), beyond the checked-in corpora that
-#                  every `go test` run replays.
+#                  FuzzBlockedCholesky, FuzzClosedFormModel), beyond the
+#                  checked-in corpora that every `go test` run replays.
 #   make bench-smoke — one iteration per benchmark, series checksums only;
 #                  cheap enough for CI, catches result drift but not perf.
 #                  Runs with -short: the dense C50×N20 control bench (a
@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCholeskyFactorFrom$$' -fuzztime=10s ./internal/mat/
 	$(GO) test -run='^$$' -fuzz='^FuzzWarmStartRepair$$' -fuzztime=10s ./internal/ctrl/
 	$(GO) test -run='^$$' -fuzz='^FuzzBlockedCholesky$$' -fuzztime=10s ./internal/mat/
+	$(GO) test -run='^$$' -fuzz='^FuzzClosedFormModel$$' -fuzztime=10s ./internal/ctrl/
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem . | $(GO) run ./cmd/benchjson -out $(BENCH_JSON) -check-series $(BENCH_REF) -check-perf $(BENCH_REF)

@@ -85,7 +85,6 @@ type IDCSpec struct {
 type MPCSpec struct {
 	PredHorizon  int     `json:"predHorizon,omitempty"`
 	CtrlHorizon  int     `json:"ctrlHorizon,omitempty"`
-	CostWeight   float64 `json:"costWeight,omitempty"`
 	PowerWeight  float64 `json:"powerWeight,omitempty"`
 	SmoothWeight float64 `json:"smoothWeight,omitempty"`
 }
@@ -218,7 +217,6 @@ func (f *File) Scenario() (sim.Scenario, error) {
 		MPC: ctrl.MPCConfig{
 			PredHorizon:  f.MPC.PredHorizon,
 			CtrlHorizon:  f.MPC.CtrlHorizon,
-			CostWeight:   f.MPC.CostWeight,
 			PowerWeight:  f.MPC.PowerWeight,
 			SmoothWeight: f.MPC.SmoothWeight,
 		},

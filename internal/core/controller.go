@@ -220,8 +220,8 @@ func New(cfg Config, opts ...Option) (*Controller, error) {
 			}
 		}
 	}
-	//lint:ignore floateq documented sentinel: both weights exactly zero means "unset"
-	if cfg.MPC.PowerWeight == 0 && cfg.MPC.CostWeight == 0 {
+	//lint:ignore floateq documented sentinel: an exactly-zero weight means "unset"
+	if cfg.MPC.PowerWeight == 0 {
 		cfg.MPC.PowerWeight = 1
 	}
 	mpc, err := ctrl.NewMPC(cfg.MPC)

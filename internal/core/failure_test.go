@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/ctrl"
 	"repro/internal/idc"
 	"repro/internal/price"
 	"repro/internal/sleep"
@@ -95,29 +94,6 @@ func TestInfeasibleBudgetsFallBackToSoftClamp(t *testing.T) {
 		if math.Abs(per[i]-d) > 1e-2 {
 			t.Fatalf("portal %d served %g, want %g", i, per[i], d)
 		}
-	}
-}
-
-func TestCostWeightTrackingMode(t *testing.T) {
-	// The paper-literal W (CostWeight only) must still run and converge to
-	// a cost rate near the optimal reference's.
-	cfg := baseConfig()
-	cfg.StartHour = 6
-	cfg.SlowEvery = 4
-	cfg.MPC = ctrl.MPCConfig{CostWeight: 1, PowerWeight: 1e-6, SmoothWeight: 2}
-	tels := runScenario(t, cfg, 40)
-	last := tels[len(tels)-1]
-	if last.CostRate <= 0 {
-		t.Fatalf("cost rate %g", last.CostRate)
-	}
-	// Within 10% of the pure power-tracking configuration's steady state.
-	cfgP := baseConfig()
-	cfgP.StartHour = 6
-	cfgP.SlowEvery = 4
-	telsP := runScenario(t, cfgP, 40)
-	ref := telsP[len(telsP)-1].CostRate
-	if rel := math.Abs(last.CostRate-ref) / ref; rel > 0.1 {
-		t.Fatalf("cost-weight mode rate %g vs power mode %g (rel %.3f)", last.CostRate, ref, rel)
 	}
 }
 

@@ -119,10 +119,9 @@ func newCondensed(model *Model, cfg MPCConfig) (*condensed, error) {
 		}
 	}
 
-	// Row weights: CostWeight on C̄ rows, PowerWeight on E rows.
+	// Row weights: PowerWeight on E rows; the C̄ rows stay untracked at 0.
 	wq := make([]float64, ns*b1)
 	for s := 0; s < b1; s++ {
-		wq[s*ns] = cfg.CostWeight
 		for j := 0; j < top.N(); j++ {
 			wq[s*ns+1+j] = cfg.PowerWeight
 		}

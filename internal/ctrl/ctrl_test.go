@@ -3,6 +3,7 @@ package ctrl
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/alloc"
@@ -69,25 +70,99 @@ func TestModelMatrixShapes(t *testing.T) {
 	}
 }
 
+// checkVanLoan compares the closed-form Φ, G and Γ of both model flavours
+// with the Van Loan block exponential (mat.Discretize) of the same
+// continuous system, entry by entry at 1e-12 relative. The hold integral
+// acts on each input column separately, so the oracle runs once per IDC on
+// that IDC's columns of B and F, which keeps the C50×N20 case cheap.
+func checkVanLoan(t *testing.T, top *idc.Topology, prices []float64, ts float64) {
+	t.Helper()
+	for _, build := range []func(*idc.Topology, []float64, float64) (*Model, error){NewModel, NewFoldedModel} {
+		m, err := build(top, prices, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(name string, r, col int, got, want float64) {
+			t.Helper()
+			if math.Abs(got-want) > 1e-12*math.Max(math.Abs(got), math.Abs(want)) {
+				t.Fatalf("folded=%v C%d×N%d ts=%g prices %v: %s[%d][%d] = %.17g, Van Loan %.17g",
+					m.Folded(), top.C(), top.N(), ts, prices, name, r, col, got, want)
+			}
+		}
+		ns, c := m.StateDim(), top.C()
+		for j := 0; j < top.N(); j++ {
+			bf := mat.Zeros(ns, c+1)
+			for r := 0; r < ns; r++ {
+				for i := 0; i < c; i++ {
+					bf.Set(r, i, m.B.At(r, top.Index(i, j)))
+				}
+				bf.Set(r, c, m.F.At(r, j))
+			}
+			phi, g, err := mat.Discretize(m.A, bf, ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < ns; r++ {
+				for col := 0; col < ns; col++ {
+					check("Φ", r, col, m.Phi.At(r, col), phi.At(r, col))
+				}
+				for i := 0; i < c; i++ {
+					k := top.Index(i, j)
+					check("G", r, k, m.G.At(r, k), g.At(r, i))
+				}
+				check("Γ", r, j, m.Gamma.At(r, j), g.At(r, c))
+			}
+		}
+	}
+}
+
+// TestModelDiscretizationClosedForm pins the closed-form zero-order hold
+// against the Van Loan oracle at paper and synthetic scales, including a
+// zero-price IDC.
 func TestModelDiscretizationClosedForm(t *testing.T) {
-	// A is nilpotent (A² = 0) so Φ = I + A·Ts and G = B·Ts + A·B·Ts²/2,
-	// Γ = F·Ts + A·F·Ts²/2 exactly.
-	ts := 30.0
-	m := newTestModel(t, testPrices6H, ts)
-	wantPhi, _ := mat.Add(mat.Identity(4), mat.Scale(ts, m.A))
-	if !mat.Equalish(m.Phi, wantPhi, 1e-8) {
-		t.Fatalf("Φ mismatch:\n%v\nwant\n%v", m.Phi, wantPhi)
+	c10n8, err := idc.SyntheticTopology(10, 8, 20000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ab, _ := mat.Mul(m.A, m.B)
-	wantG, _ := mat.Add(mat.Scale(ts, m.B), mat.Scale(ts*ts/2, ab))
-	if !mat.Equalish(m.G, wantG, 1e-5) {
-		t.Fatal("G mismatch with closed form")
+	c50n20, err := idc.SyntheticTopology(50, 20, 20000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	af, _ := mat.Mul(m.A, m.F)
-	wantGam, _ := mat.Add(mat.Scale(ts, m.F), mat.Scale(ts*ts/2, af))
-	if !mat.Equalish(m.Gamma, wantGam, 1e-5) {
-		t.Fatal("Γ mismatch with closed form")
+	priceSets := [][]float64{testPrices6H, testPrices7H, {0, 55.5, 12.25}, {999.5, 0.01, 250}}
+	for _, top := range []*idc.Topology{idc.PaperTopology(), c10n8, c50n20} {
+		for _, set := range priceSets {
+			prices := make([]float64, top.N())
+			for j := range prices {
+				prices[j] = set[j%len(set)] * (1 + 0.1*float64(j/len(set)))
+			}
+			for _, ts := range []float64{10, 30, 3600} {
+				checkVanLoan(t, top, prices, ts)
+			}
+		}
 	}
+}
+
+// FuzzClosedFormModel is the differential form of the table test above:
+// random topology size, prices in [0, 1000] (some exactly zero) and Ts in
+// (0, 3600]; testdata/fuzz/FuzzClosedFormModel holds the corpus.
+func FuzzClosedFormModel(f *testing.F) {
+	f.Add(uint8(5), uint8(3), int64(1), uint16(533))
+	f.Add(uint8(1), uint8(1), int64(2), uint16(0))
+	f.Add(uint8(8), uint8(5), int64(3), uint16(65535))
+	f.Fuzz(func(t *testing.T, c, n uint8, seed int64, tsq uint16) {
+		top, err := idc.SyntheticTopology(1+int(c%8), 1+int(n%5), 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		prices := make([]float64, top.N())
+		for j := range prices {
+			if rng.Intn(4) > 0 {
+				prices[j] = 1000 * rng.Float64()
+			}
+		}
+		checkVanLoan(t, top, prices, 3600*(float64(tsq)+1)/65536)
+	})
 }
 
 func TestControllability(t *testing.T) {
@@ -183,8 +258,8 @@ func TestNewMPCValidation(t *testing.T) {
 	bad := []MPCConfig{
 		{PredHorizon: 2, CtrlHorizon: 3}, // β2 > β1
 		{PredHorizon: -1},                // negative
-		{CostWeight: -1},                 // negative weight
-		{CostWeight: 0, PowerWeight: 0, SmoothWeight: 1, PredHorizon: 4, CtrlHorizon: 2}, // no tracking
+		{PowerWeight: -1},                // negative weight
+		{PowerWeight: 0, SmoothWeight: 1, PredHorizon: 4, CtrlHorizon: 2}, // no tracking
 	}
 	for i, cfg := range bad {
 		if _, err := NewMPC(cfg); !errors.Is(err, ErrBadConfig) {
@@ -715,15 +790,17 @@ func TestFoldedModelMatchesPlantWithSleepLaw(t *testing.T) {
 			t.Fatalf("idc %d: folded %g vs plant %g (diff %g)", j, predicted, actual, diff)
 		}
 	}
-	// DisturbanceVec carries the standby terms, and CapServers the fleet.
-	v := folded.DisturbanceVec(nil)
+	// DisturbanceVecInto carries the standby terms, and CapServersInto the
+	// fleet.
+	v := make([]float64, top.N())
+	folded.DisturbanceVecInto(v, nil)
 	for j := 0; j < top.N(); j++ {
 		d := top.IDC(j)
 		if math.Abs(v[j]-1/(d.ServiceRate*d.DelayBound)) > 1e-12 {
 			t.Fatalf("disturbance[%d] = %g", j, v[j])
 		}
 	}
-	caps := folded.CapServers([]int{1, 1, 1})
+	caps := folded.CapServersInto(nil, []int{1, 1, 1})
 	for j := 0; j < top.N(); j++ {
 		if caps[j] != top.IDC(j).TotalServers {
 			t.Fatalf("cap servers[%d] = %d", j, caps[j])
@@ -731,10 +808,11 @@ func TestFoldedModelMatchesPlantWithSleepLaw(t *testing.T) {
 	}
 	// Plain model passes servers through.
 	plain := newTestModel(t, testPrices6H, 30)
-	if got := plain.CapServers([]int{7, 8, 9}); got[0] != 7 || got[2] != 9 {
+	if got := plain.CapServersInto(nil, []int{7, 8, 9}); got[0] != 7 || got[2] != 9 {
 		t.Fatalf("plain cap servers = %v", got)
 	}
-	if got := plain.DisturbanceVec([]int{7, 8, 9}); got[1] != 8 {
-		t.Fatalf("plain disturbance = %v", got)
+	plain.DisturbanceVecInto(v, []int{7, 8, 9})
+	if v[1] != 8 {
+		t.Fatalf("plain disturbance = %v", v)
 	}
 }

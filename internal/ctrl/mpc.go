@@ -22,18 +22,14 @@ var (
 //
 // The paper's W selects only the scalar accumulated cost C̄. Tracking that
 // scalar cannot enforce per-IDC power budgets, yet §IV.D shaves peaks by
-// clamping each IDC's power reference, so we expose the natural
-// generalization: the controller tracks the full state (C̄, E1 … EN) with
-// per-component weights. CostWeight 0 with PowerWeight > 0 reproduces the
-// per-IDC budget-tracking behaviour of Figs. 6–7; PowerWeight 0 with
-// CostWeight > 0 is the paper's literal W.
+// clamping each IDC's power reference, so the controller tracks each IDC's
+// energy E_j instead; C̄ is predicted but carries no tracking weight
+// (DESIGN §3.2).
 type MPCConfig struct {
 	// PredHorizon is β1 ≥ 1 (default 8).
 	PredHorizon int
 	// CtrlHorizon is β2 with 1 ≤ β2 ≤ β1 (default 3).
 	CtrlHorizon int
-	// CostWeight is the tracking weight on C̄ (default 0).
-	CostWeight float64
 	// PowerWeight is the tracking weight on each E_j (default 1).
 	PowerWeight float64
 	// SmoothWeight is the R penalty on ‖ΔU‖² — the paper's power-demand
@@ -56,12 +52,12 @@ func (c *MPCConfig) defaults() error {
 	if c.PredHorizon < 1 || c.CtrlHorizon < 1 || c.CtrlHorizon > c.PredHorizon {
 		return fmt.Errorf("horizons β1=%d β2=%d: %w", c.PredHorizon, c.CtrlHorizon, ErrBadConfig)
 	}
-	if c.CostWeight < 0 || c.PowerWeight < 0 || c.SmoothWeight < 0 {
+	if c.PowerWeight < 0 || c.SmoothWeight < 0 {
 		return fmt.Errorf("negative weight: %w", ErrBadConfig)
 	}
 	//lint:ignore floateq unset-weight sentinel: only an exact zero means "disabled"
-	if c.CostWeight == 0 && c.PowerWeight == 0 {
-		return fmt.Errorf("all tracking weights zero: %w", ErrBadConfig)
+	if c.PowerWeight == 0 {
+		return fmt.Errorf("tracking weight zero: %w", ErrBadConfig)
 	}
 	return nil
 }
@@ -191,9 +187,6 @@ type StepInput struct {
 	// When shorter than β1 the last entry is held; when nil RefPower is
 	// used for every step.
 	RefPowerTraj [][]float64
-	// RefCostRate is the target Ċ̄ (Σ_j Pr_j·P_ref_j); used only when
-	// CostWeight > 0. Zero means "derive from RefPower and prices".
-	RefCostRate float64
 }
 
 // StepOutput is the controller's move.
@@ -277,14 +270,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 
 	// Free response and reference → stacked residual d = ref − free(X, U, V).
 	ts := model.Ts()
-	prices := model.prices // read-only; Prices() would copy per step
-	refCostRate := in.RefCostRate
-	//lint:ignore floateq documented sentinel: exactly-zero RefCostRate means "derive from prices"
-	if refCostRate == 0 && m.cfg.CostWeight > 0 {
-		for j := range prices {
-			refCostRate += prices[j] * in.RefPower[j]
-		}
-	}
 	// refAt returns the power reference for prediction step s (1-based):
 	// the trajectory entry when supplied, else the constant RefPower.
 	refAt := func(s int) []float64 {
@@ -302,7 +287,6 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 	sc.refEnergy = mat.GrowVec(sc.refEnergy, top.N())
 	refEnergy := sc.refEnergy
 	copy(refEnergy, in.State[1:])
-	refCost := in.State[0]
 	sc.free = mat.GrowVec(sc.free, ns)
 	sc.xiU = mat.GrowVec(sc.xiU, ns)
 	sc.omega = mat.GrowVec(sc.omega, ns)
@@ -327,15 +311,9 @@ func (m *MPC) Step(in StepInput) (*StepOutput, error) {
 			base[i] = free[i] + xiU[i] + omega[i]
 		}
 		stepRef := refAt(s)
-		//lint:ignore floateq documented sentinel: exactly-zero RefCostRate means "derive from prices"
-		if m.cfg.CostWeight > 0 && in.RefCostRate == 0 && len(in.RefPowerTraj) > 0 {
-			refCostRate = 0
-			for j := range prices {
-				refCostRate += prices[j] * stepRef[j]
-			}
-		}
-		refCost += refCostRate * ts
-		d[(s-1)*ns] = refCost - free[0] - xiU[0] - omega[0]
+		// C̄ is untracked: its rows carry zero weight (condensed.wq), so
+		// its residual is left at zero.
+		d[(s-1)*ns] = 0
 		for j := 0; j < top.N(); j++ {
 			refEnergy[j] += stepRef[j] * ts
 			row := (s-1)*ns + 1 + j
