@@ -108,6 +108,48 @@ func TestColdStartAdoptsReference(t *testing.T) {
 
 // runScenario drives the paper's 6H→7H flip: warm at hour 6 then cross into
 // hour 7, returning the telemetry from every step.
+// TestPlantEnergyMatchesReportedPower: the plant state integrates the power
+// the controller reports. Across moving demand and a price change, each
+// step's E_j grows by PowerWatts_j·Ts, and C̄ by the cost of the energy held
+// plus that step's ramp, Ts·Σ Pr_j·E_j + ½Ts²·Σ Pr_j·P_j.
+func TestPlantEnergyMatchesReportedPower(t *testing.T) {
+	cfg := baseConfig()
+	cfg.StartHour = 6
+	cfg.SlowEvery = 4
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	table := workload.TableI()
+	demands := make([]float64, len(table))
+	prev := c.State()
+	for k := 0; k < 130; k++ { // 120 steps per hour at Ts = 30 s: crosses 7H
+		for i, d := range table {
+			demands[i] = d * (0.9 + 0.05*math.Sin(float64(k)/5))
+		}
+		tel, err := c.Step(demands)
+		if err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		x := c.State()
+		var held, drawn float64
+		for j, p := range tel.PowerWatts {
+			want := p * cfg.Ts
+			if got := x[1+j] - prev[1+j]; math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("step %d idc %d: ΔE = %.17g, PowerWatts·Ts = %.17g (rel %.3g)",
+					k, j, got, want, math.Abs(got-want)/want)
+			}
+			held += tel.Prices[j] * prev[1+j]
+			drawn += tel.Prices[j] * p
+		}
+		want := cfg.Ts*held + cfg.Ts*cfg.Ts/2*drawn
+		if got := x[0] - prev[0]; math.Abs(got-want) > 1e-12*want {
+			t.Fatalf("step %d: ΔC̄ = %.17g, want %.17g", k, got, want)
+		}
+		prev = x
+	}
+}
+
 func runScenario(t *testing.T, cfg Config, steps int) []*Telemetry {
 	t.Helper()
 	c, err := New(cfg)

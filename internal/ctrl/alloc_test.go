@@ -3,6 +3,7 @@ package ctrl
 import (
 	"testing"
 
+	"repro/internal/idc"
 	"repro/internal/obs"
 	"repro/internal/qp"
 	"repro/internal/testenv"
@@ -143,5 +144,28 @@ func TestMPCStepMovingDemandAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, step); allocs > 0 {
 		t.Errorf("moving-demand MPC.Step allocated %v allocs/run, want 0", allocs)
+	}
+}
+
+// TestModelStepAllocatesOnlyResult pins the plant integrator at one
+// allocation per call: the returned state vector.
+func TestModelStepAllocatesOnlyResult(t *testing.T) {
+	if testenv.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	top := idc.PaperTopology()
+	model, err := NewFoldedModel(top, testPrices6H, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u0, servers := feasibleStart(t, testPrices6H)
+	x := make([]float64, model.StateDim())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := model.Step(x, u0, servers); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Model.Step allocated %v allocs/run, want 1", allocs)
 	}
 }
