@@ -371,8 +371,8 @@ func BenchmarkQPActiveSet(b *testing.B) {
 	}
 }
 
-// BenchmarkDiscretize measures the Van Loan ZOH discretization of the
-// paper's (N+1)-state model.
+// BenchmarkDiscretize measures building the paper's (N+1)-state folded
+// model, whose zero-order hold is filled in closed form.
 func BenchmarkDiscretize(b *testing.B) {
 	top := idc.PaperTopology()
 	for i := 0; i < b.N; i++ {

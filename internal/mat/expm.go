@@ -226,6 +226,8 @@ func padeCoeffs(deg int) []float64 {
 //	Φ = e^{A·ts},   G = ∫₀^ts e^{A s} ds · B
 //
 // using Van Loan's block-matrix method: exp([A B; 0 0]·ts) = [Φ G; 0 I].
+// The controller's model is nilpotent and discretizes in closed form; this
+// general method is the oracle its tests compare against.
 func Discretize(a, b *Dense, ts float64) (phi, g *Dense, err error) {
 	if a.rows != a.cols {
 		return nil, nil, fmt.Errorf("mat: discretize with A %dx%d: %w", a.rows, a.cols, ErrShape)

@@ -1,7 +1,8 @@
 // Package mat implements the dense linear algebra needed by the
 // electricity-cost controller: vectors, matrices, factorizations
-// (LU, Cholesky, QR), linear solves, and the matrix exponential used
-// for zero-order-hold discretization of continuous-time systems.
+// (LU, Cholesky, QR) and linear solves. The matrix exponential and Van
+// Loan's zero-order-hold discretization are the reference the controller's
+// closed-form hold is tested against.
 //
 // All types use float64 storage in row-major order. Dimensions in this
 // project are small (tens of rows), so the implementations favour
